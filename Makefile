@@ -33,11 +33,12 @@ bench:
 
 # Quick pass over the hot-path kernel benchmarks (docs/performance.md): a
 # few iterations each, -benchmem so an alloc regression in the steady-state
-# solve loop shows up as non-zero allocs/op.
+# solve loop shows up as non-zero allocs/op. SetupQuickSuite is the set-up
+# layer's number: one FSAIE(full) set-up of each QuickSuite matrix per op.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'SpMV|FusedBlas1|PCGIteration|EngineDot' \
+	$(GO) test -run '^$$' -bench 'SpMV|FusedBlas1|PCGIteration|EngineDot|SetupQuickSuite' \
 		-benchtime 10x -benchmem \
-		./internal/sparse/ ./internal/kernels/ ./internal/krylov/
+		./internal/sparse/ ./internal/kernels/ ./internal/krylov/ ./internal/core/
 
 # Multi-RHS amortization check (docs/performance.md, "Batched solving"):
 # the SpMM and block-PCG benchmarks across block widths (per-RHS ns drops

@@ -97,7 +97,10 @@ func ComputeAdaptive(a *sparse.CSR, opts AdaptiveOptions) (*Preconditioner, erro
 		}
 		sx := ExtendPattern(base, elems, opts.AlignElems, ClipLower, 512)
 		if opts.Filter > 0 {
-			gpre := precalcRows(a, sx, opts.Filter/2, 25, opts.Workers, &pre.Stats)
+			gpre, err := precalcRows(a, sx, opts.Filter/2, 25, opts.Workers, &pre.Stats)
+			if err != nil {
+				return nil, err
+			}
 			final = filterExtension(base, sx, gpre, opts.Filter)
 		} else {
 			final = sx

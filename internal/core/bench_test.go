@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/krylov"
 	"repro/internal/matgen"
+	"repro/internal/sparse"
 )
 
 func benchSetup(b *testing.B, variant Variant, lineBytes int) {
@@ -24,6 +25,28 @@ func BenchmarkSetupFSAI(b *testing.B)         { benchSetup(b, VariantFSAI, 64) }
 func BenchmarkSetupFSAIESp(b *testing.B)      { benchSetup(b, VariantSp, 64) }
 func BenchmarkSetupFSAIEFull(b *testing.B)    { benchSetup(b, VariantFull, 64) }
 func BenchmarkSetupFSAIEFull256(b *testing.B) { benchSetup(b, VariantFull, 256) }
+
+// BenchmarkSetupQuickSuite times one FSAIE(full) set-up, 1 worker, of every
+// QuickSuite matrix per op: the set-up layer's in-repo number (make
+// bench-smoke). The matrices are generated once, outside the timer.
+func BenchmarkSetupQuickSuite(b *testing.B) {
+	var mats []*sparse.CSR
+	for _, s := range matgen.QuickSuite() {
+		mats = append(mats, s.Generate())
+	}
+	opts := DefaultOptions()
+	opts.Variant = VariantFull
+	opts.Workers = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, a := range mats {
+			if _, err := Compute(a, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
 
 func BenchmarkExtendPattern(b *testing.B) {
 	a := matgen.Laplace2D(64, 64)

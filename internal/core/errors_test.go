@@ -8,6 +8,7 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/pattern"
 	"repro/internal/sparse"
+	"repro/internal/telemetry"
 )
 
 func TestSetupReasonNames(t *testing.T) {
@@ -129,5 +130,36 @@ func TestSetupErrorWorkerPanic(t *testing.T) {
 	var pe *parallel.PanicError
 	if !errors.As(err, &pe) {
 		t.Errorf("worker-panic SetupError should wrap *parallel.PanicError, got %v", err)
+	}
+}
+
+func TestSetupErrorPrecalcWorkerPanic(t *testing.T) {
+	// Nothing before the precalculation runs on the pool, so a worker hook
+	// that panics fires inside a precalc row task; Compute must return the
+	// contained panic as a typed worker-panic error rather than re-raise it.
+	parallel.SetWorkerHook(func(int) { panic("injected precalc row panic") })
+	defer parallel.SetWorkerHook(nil)
+	a := laplace1D(40)
+	for _, v := range []Variant{VariantSp, VariantFull} {
+		for _, w := range []int{1, 2} {
+			tr := telemetry.NewTracer(nil)
+			opts := DefaultOptions()
+			opts.Variant = v
+			opts.Workers = w
+			opts.Tracer = tr
+			_, err := Compute(a, opts)
+			se, ok := AsSetupError(err)
+			if !ok || se.Reason != ReasonWorkerPanic {
+				t.Fatalf("%v/%d workers: err=%v, want a worker-panic SetupError", v, w, err)
+			}
+			var pe *parallel.PanicError
+			if !errors.As(err, &pe) || pe.Value != "injected precalc row panic" {
+				t.Errorf("%v/%d workers: should wrap the *parallel.PanicError, got %v", v, w, err)
+			}
+			phases := tr.Report()[0].Children
+			if last := phases[len(phases)-1].Name; last != PhasePrecalc {
+				t.Errorf("%v/%d workers: setup stopped after phase %q, want %q", v, w, last, PhasePrecalc)
+			}
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/dense"
 	"repro/internal/kernels"
 	"repro/internal/parallel"
 	"repro/internal/pattern"
@@ -177,8 +176,11 @@ type SetupStats struct {
 	// DirectFlops counts floating-point work of the exact local solves
 	// (Cholesky ~ s³/3 + solves ~ 2s² per row of local size s).
 	DirectFlops float64
-	// PrecalcFlops counts the loose CG precalculation work (~2s² per
-	// iteration per row).
+	// PrecalcFlops counts the loose CG precalculation work in the dense
+	// model the performance model prices (2s² per iteration per row of
+	// local size s), not the flops the sparse local kernel executes; the
+	// sparse kernel runs the same iterations on the local system's stored
+	// entries only.
 	PrecalcFlops float64
 	// PatternOps counts symbolic work: entries visited while powering,
 	// extending and filtering patterns.
@@ -450,25 +452,18 @@ func InitialPattern(a *sparse.CSR, tau float64, power int) *pattern.Pattern {
 // by 1/sqrt(y_i) so that diag(G A Gᵀ) = 1 (Kolotilina-Yeremin FSAI).
 // The returned CSR shares the pattern's index structure.
 func computeRows(a *sparse.CSR, p *pattern.Pattern, workers int, stats *SetupStats) (*sparse.CSR, error) {
-	n := a.Rows
-	g := &sparse.CSR{
-		Rows:   n,
-		Cols:   n,
-		RowPtr: append([]int(nil), p.RowPtr...),
-		ColIdx: append([]int(nil), p.Cols...),
-		Val:    make([]float64, p.NNZ()),
-	}
+	g := newPatternCSR(a, p)
 	nw := workers
 	if nw <= 0 {
 		nw = parallel.MaxWorkers()
 	}
 	errs := make([]error, nw)
 	partial := make([]SetupStats, nw)
-	bounds := parallel.Chunks(n, nw)
+	bounds := parallel.Chunks(a.Rows, nw)
 	poolErr := parallel.ForErr(len(bounds)/2, nw, func(wlo, whi int) {
 		for c := wlo; c < whi; c++ {
 			lo, hi := bounds[2*c], bounds[2*c+1]
-			var aloc, rhs []float64
+			ls := newLocalSystem(a.Cols)
 			st := &partial[c]
 			for i := lo; i < hi; i++ {
 				idx := p.Row(i)
@@ -481,20 +476,15 @@ func computeRows(a *sparse.CSR, p *pattern.Pattern, workers int, stats *SetupSta
 					st.MaxLocal = m
 				}
 				st.Rows++
-				if cap(aloc) < m*m {
-					aloc = make([]float64, m*m)
-					rhs = make([]float64, m)
-				}
-				aloc = a.Extract(idx, aloc[:m*m])
-				rhs = rhs[:m]
-				sparse.GatherRHS(rhs, m-1)
-				if err := dense.SolveSPD(aloc, m, rhs); err != nil {
+				ls.load(a, idx)
+				y, err := ls.solve()
+				if err != nil {
 					errs[c] = setupErrf(ReasonNotSPD, i, "row %d: %w", i, ErrNotSPD)
 					return
 				}
 				fm := float64(m)
 				st.DirectFlops += fm*fm*fm/3 + 2*fm*fm
-				d := rhs[m-1]
+				d := y[m-1]
 				if d <= 0 || math.IsNaN(d) {
 					errs[c] = setupErrf(ReasonNotSPD, i, "row %d diagonal %g: %w", i, d, ErrNotSPD)
 					return
@@ -502,7 +492,7 @@ func computeRows(a *sparse.CSR, p *pattern.Pattern, workers int, stats *SetupSta
 				scale := 1 / math.Sqrt(d)
 				off := g.RowPtr[i]
 				for k := 0; k < m; k++ {
-					g.Val[off+k] = rhs[k] * scale
+					g.Val[off+k] = y[k] * scale
 				}
 			}
 		}
@@ -528,50 +518,55 @@ func computeRows(a *sparse.CSR, p *pattern.Pattern, workers int, stats *SetupSta
 // precalcRows evaluates an *approximate* G on the given pattern using a few
 // loose-tolerance CG sweeps per local system (Section 5). Only the order of
 // magnitude of the entries matters — the result is used exclusively to
-// decide which extension entries to keep.
-func precalcRows(a *sparse.CSR, p *pattern.Pattern, tol float64, maxIter, workers int, stats *SetupStats) *sparse.CSR {
-	n := a.Rows
-	g := &sparse.CSR{
-		Rows:   n,
-		Cols:   n,
-		RowPtr: append([]int(nil), p.RowPtr...),
-		ColIdx: append([]int(nil), p.Cols...),
-		Val:    make([]float64, p.NNZ()),
-	}
+// decide which extension entries to keep. The CG runs on the sparse local
+// lower triangle, bitwise reproducing a dense CG on A(S_i,S_i); a row task
+// panic comes back as a typed ReasonWorkerPanic SetupError.
+func precalcRows(a *sparse.CSR, p *pattern.Pattern, tol float64, maxIter, workers int, stats *SetupStats) (*sparse.CSR, error) {
+	// The estimate only feeds filterExtension, so it shares p's index
+	// arrays instead of copying them.
+	g := &sparse.CSR{Rows: a.Rows, Cols: a.Rows, RowPtr: p.RowPtr, ColIdx: p.Cols, Val: make([]float64, p.NNZ())}
 	nw := workers
 	if nw <= 0 {
 		nw = parallel.MaxWorkers()
 	}
 	partial := make([]SetupStats, nw)
-	bounds := parallel.Chunks(n, nw)
-	parallel.For(len(bounds)/2, nw, func(wlo, whi int) {
+	bounds := parallel.Chunks(a.Rows, nw)
+	poolErr := parallel.ForErr(len(bounds)/2, nw, func(wlo, whi int) {
 		for c := wlo; c < whi; c++ {
 			lo, hi := bounds[2*c], bounds[2*c+1]
-			var aloc, rhs, sol []float64
+			ls := newLocalSystem(a.Cols)
 			st := &partial[c]
 			for i := lo; i < hi; i++ {
 				idx := p.Row(i)
 				m := len(idx)
-				if cap(aloc) < m*m {
-					aloc = make([]float64, m*m)
-					rhs = make([]float64, m)
-					sol = make([]float64, m)
-				}
-				aloc = a.Extract(idx, aloc[:m*m])
-				rhs = rhs[:m]
-				sol = sol[:m]
-				sparse.GatherRHS(rhs, m-1)
-				res := dense.CG(aloc, m, sol, rhs, tol, maxIter)
-				st.PrecalcFlops += float64(res.Iterations) * 2 * float64(m) * float64(m)
+				ls.load(a, idx)
+				sol, iters := ls.precalc(tol, maxIter)
+				// Priced by the perf model as dense CG work, not what the
+				// sparse kernel executes (see SetupStats.PrecalcFlops).
+				st.PrecalcFlops += float64(iters) * 2 * float64(m) * float64(m)
 				off := g.RowPtr[i]
 				copy(g.Val[off:off+m], sol)
 			}
 		}
 	})
+	if poolErr != nil {
+		return nil, setupErr(ReasonWorkerPanic, -1, poolErr)
+	}
 	if stats != nil {
 		for _, st := range partial {
 			stats.add(st)
 		}
 	}
-	return g
+	return g, nil
+}
+
+// newPatternCSR returns a zero-valued n×n CSR with p's index structure.
+func newPatternCSR(a *sparse.CSR, p *pattern.Pattern) *sparse.CSR {
+	return &sparse.CSR{
+		Rows:   a.Rows,
+		Cols:   a.Rows,
+		RowPtr: append([]int(nil), p.RowPtr...),
+		ColIdx: append([]int(nil), p.Cols...),
+		Val:    make([]float64, p.NNZ()),
+	}
 }

@@ -96,7 +96,7 @@ func SolveTime(a arch.Arch, c IterCost, iterations int) float64 {
 // fields mirror fsai.SetupStats.
 type SetupCost struct {
 	DirectFlops  float64 // exact local solves
-	PrecalcFlops float64 // loose-tolerance CG precalculation
+	PrecalcFlops float64 // loose-tolerance CG precalculation, dense model (iters·2m² per row)
 	PatternOps   float64 // symbolic pattern entries visited
 	Rows         int     // local systems set up (extraction/orchestration)
 }
