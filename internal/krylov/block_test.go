@@ -2,6 +2,7 @@ package krylov
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -66,46 +67,180 @@ func randVec(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
-// TestSolveBlockK1BitIdentical is the property test of the satellite task:
-// SolveBlock with k = 1 executes the exact kernel sequence of the scalar
-// solver, in both recurrence modes, for every preconditioner kind and
-// worker count — results, histories and iteration counts match bit for bit.
+// refPCG is the scalar PCG reference: one right-hand side's Section 2.1
+// recurrence as a straight sequence of engine kernel calls, without
+// telemetry, cancellation or checkpoints, always recording the history.
+// Solve and k = 1 SolveBlock must reproduce it bit for bit, which pins the
+// scalar outputs (iterates, iteration counts, residuals) in place.
+func refPCG(a *sparse.CSR, x, b []float64, m Preconditioner, tol float64, maxIter, workers int) Result {
+	n := a.Rows
+	if m == nil {
+		m = Identity{}
+	}
+	eng := kernels.New(n, workers)
+	r := append([]float64(nil), b...)
+	z, p, ap := make([]float64, n), make([]float64, n), make([]float64, n)
+	res := Result{RelResidual: 1}
+	done := func(st Status, rel float64) Result {
+		res.Status, res.Converged, res.RelResidual = st, st == StatusConverged, rel
+		res.History = append(res.History, rel)
+		return res
+	}
+	Fill(x, 0)
+	bnorm := eng.Norm2(b)
+	if bnorm == 0 {
+		return Result{Status: StatusConverged, Converged: true}
+	}
+	rel := eng.Norm2(r) / bnorm
+	if bad(rel) {
+		return done(StatusNaNOrInf, rel)
+	}
+	if rel <= tol {
+		return done(StatusConverged, rel)
+	}
+	res.History = append(res.History, rel)
+	m.Apply(z, r)
+	copy(p, z)
+	rz := eng.Dot(r, z)
+	for it := 0; it < maxIter; it++ {
+		eng.SpMV(a, ap, p)
+		pap := eng.Dot(p, ap)
+		if pap <= 0 || bad(pap) {
+			st := StatusIndefinite
+			if bad(pap) {
+				st = StatusNaNOrInf
+			}
+			return done(st, eng.Norm2(r)/bnorm)
+		}
+		rr := eng.XRUpdate(rz/pap, p, ap, x, r)
+		res.Iterations = it + 1
+		rel = math.Sqrt(rr) / bnorm
+		switch {
+		case bad(rel):
+			return done(StatusNaNOrInf, rel)
+		case rel <= tol:
+			return done(StatusConverged, rel)
+		}
+		res.History = append(res.History, rel)
+		m.Apply(z, r)
+		rzNew := eng.Dot(r, z)
+		eng.Xpay(z, rzNew/rz, p)
+		rz = rzNew
+	}
+	res.Status, res.RelResidual = StatusMaxIter, rel
+	return res
+}
+
+func bad(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
+
+// sameResult fails t unless got matches the reference bit for bit:
+// status, iterations, residual, history and solution.
+func sameResult(t *testing.T, what string, ref, got Result, xref, x []float64) {
+	t.Helper()
+	if got.Status != ref.Status || got.Iterations != ref.Iterations || got.RelResidual != ref.RelResidual {
+		t.Fatalf("%s: result mismatch reference=%+v got=%+v", what, ref, got)
+	}
+	if len(got.History) != len(ref.History) {
+		t.Fatalf("%s: history length %d != %d", what, len(got.History), len(ref.History))
+	}
+	for i := range ref.History {
+		if got.History[i] != ref.History[i] {
+			t.Fatalf("%s: history[%d] %v != %v", what, i, got.History[i], ref.History[i])
+		}
+	}
+	for i := range xref {
+		if x[i] != xref[i] {
+			t.Fatalf("%s: x[%d] %v != %v (not bit-identical)", what, i, x[i], xref[i])
+		}
+	}
+}
+
+// TestSolveBlockK1BitIdentical pins the one loop to the scalar reference:
+// Solve, and SolveBlock with k = 1 in both recurrence modes, execute the
+// exact kernel sequence of refPCG for every preconditioner kind and worker
+// count — results, histories and iteration counts match bit for bit.
 func TestSolveBlockK1BitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{300, 1200} {
 		a := tridiag(n, -1, 2.5, -1)
 		b := randVec(rng, n)
 		for _, w := range []int{1, 3} {
-			for _, coupled := range []bool{false, true} {
-				for pi, m := range []Preconditioner{nil, NewJacobi(a), newFsaiLike(n, w)} {
-					xs := make([]float64, n)
-					rs := Solve(a, xs, b, m, Options{Tol: 1e-10, MaxIter: 500, Workers: w, RecordHistory: true})
+			for pi, m := range []Preconditioner{nil, NewJacobi(a), newFsaiLike(n, w)} {
+				xr := make([]float64, n)
+				ref := refPCG(a, xr, b, m, 1e-10, 500, w)
+				if !ref.Converged {
+					t.Fatalf("n=%d w=%d precond=%d: reference did not converge: %+v", n, w, pi, ref)
+				}
+				xs := make([]float64, n)
+				rs := Solve(a, xs, b, m, Options{Tol: 1e-10, MaxIter: 500, Workers: w, RecordHistory: true})
+				sameResult(t, fmt.Sprintf("Solve n=%d w=%d precond=%d", n, w, pi), ref, rs, xr, xs)
+				for _, coupled := range []bool{false, true} {
 					xb := make([]float64, n)
 					rb := SolveBlock(a, xb, b, 1, m, BlockOptions{
 						Tol: 1e-10, MaxIter: 500, Workers: w, RecordHistory: true, Coupled: coupled,
 					})
-					c := rb.Columns[0]
-					if c.Status != rs.Status || c.Iterations != rs.Iterations || c.RelResidual != rs.RelResidual {
-						t.Fatalf("n=%d w=%d coupled=%v precond=%d: result mismatch scalar=%+v block=%+v",
-							n, w, coupled, pi, rs, c)
-					}
-					for i := range xs {
-						if xs[i] != xb[i] {
-							t.Fatalf("n=%d w=%d coupled=%v precond=%d: x[%d] %v != %v (not bit-identical)",
-								n, w, coupled, pi, i, xb[i], xs[i])
-						}
-					}
-					if len(c.History) != len(rs.History) {
-						t.Fatalf("history length %d != %d", len(c.History), len(rs.History))
-					}
-					for i := range rs.History {
-						if c.History[i] != rs.History[i] {
-							t.Fatalf("history[%d] %v != %v", i, c.History[i], rs.History[i])
-						}
-					}
+					sameResult(t, fmt.Sprintf("SolveBlock n=%d w=%d coupled=%v precond=%d", n, w, coupled, pi),
+						ref, rb.Columns[0], xr, xb)
 				}
 			}
 		}
+	}
+}
+
+// TestSolveMatchesReferenceOnBreakdown: the terminal paths match the
+// reference too — an indefinite operator and a NaN-poisoning
+// preconditioner end with the reference's status, iterate and history.
+func TestSolveMatchesReferenceOnBreakdown(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	n := 80
+	b := randVec(rng, n)
+	cases := []struct {
+		a *sparse.CSR
+		m func() Preconditioner
+	}{
+		{tridiag(n, -1, 0.5, -1), func() Preconditioner { return nil }},
+		{tridiag(n, -1, 2, -1), func() Preconditioner { return &nanPrecond{from: 4} }},
+	}
+	for i, tc := range cases {
+		xr := make([]float64, n)
+		ref := refPCG(tc.a, xr, b, tc.m(), 1e-10, 500, 1)
+		if !ref.Status.Breakdown() {
+			t.Fatalf("case %d: reference status %v, want a breakdown", i, ref.Status)
+		}
+		xs := make([]float64, n)
+		rs := Solve(tc.a, xs, b, tc.m(), Options{Tol: 1e-10, MaxIter: 500, Workers: 1, RecordHistory: true})
+		sameResult(t, fmt.Sprintf("case %d", i), ref, rs, xr, xs)
+	}
+}
+
+// TestSolveBlockBreakdownProgress: when every column breaks down, the
+// block's last ProgressDetail snapshot reports the breakdown (as the k = 1
+// Solve does), never a converged solve.
+func TestSolveBlockBreakdownProgress(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	n := 50
+	a := tridiag(n, -1, -2.5, -1) // negative definite: pᵀAp < 0 at once
+	const k = 2
+	b := make([]float64, n*k)
+	for j := 0; j < k; j++ {
+		copy(b[j*n:(j+1)*n], randVec(rng, n))
+	}
+	var lastBlock, lastScalar ProgressInfo
+	x := make([]float64, n*k)
+	br := SolveBlock(a, x, b, k, nil, BlockOptions{Tol: 1e-8, MaxIter: 100, Workers: 1,
+		ProgressDetail: func(pi ProgressInfo) { lastBlock = pi }})
+	Solve(a, make([]float64, n), b[:n], nil, Options{Tol: 1e-8, MaxIter: 100, Workers: 1,
+		ProgressDetail: func(pi ProgressInfo) { lastScalar = pi }})
+	for j, c := range br.Columns {
+		if c.Status != StatusIndefinite {
+			t.Fatalf("col %d: status %v, want indefinite-curvature", j, c.Status)
+		}
+	}
+	if lastScalar.Converged || lastScalar.Status != StatusIndefinite {
+		t.Fatalf("scalar last snapshot %+v, want indefinite-curvature", lastScalar)
+	}
+	if lastBlock.Converged || lastBlock.Status != lastScalar.Status || lastBlock.Iteration != lastScalar.Iteration {
+		t.Fatalf("block last snapshot %+v, want %+v", lastBlock, lastScalar)
 	}
 }
 

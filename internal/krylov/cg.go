@@ -2,17 +2,10 @@ package krylov
 
 import (
 	"context"
-	"fmt"
-	"math"
-	"runtime"
 	"time"
 
-	"repro/internal/faultinject"
-	"repro/internal/kernels"
-	"repro/internal/prof"
 	"repro/internal/sparse"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Preconditioner applies an approximate inverse: z = M r with M ≈ A⁻¹.
@@ -124,12 +117,6 @@ type Options struct {
 	Ctx context.Context
 	// CancelCheckEvery is the Ctx poll interval in iterations (default 32).
 	CancelCheckEvery int
-	// CheckpointEvery, when > 0 together with OnCheckpoint, emits a full
-	// resumable snapshot every so many iterations.
-	CheckpointEvery int
-	// OnCheckpoint receives the periodic snapshots. It runs on the solver
-	// goroutine; the snapshot owns its buffers.
-	OnCheckpoint func(Checkpoint)
 	// Resume, when non-nil, continues a previous solve instead of starting
 	// from x = 0: a full checkpoint (P set) restores the exact recurrence;
 	// a warm checkpoint (P nil) restarts from the saved iterate with a
@@ -208,305 +195,26 @@ type Result struct {
 // stagnation detection, cooperative cancellation and checkpointing. Every
 // terminal path reports a typed Result.Status.
 //
-// When Options.Ctx is set, the whole loop runs under the pprof label
-// phase=cg merged into the context's existing labels (the service adds
-// job_id/trace_id/fingerprint), so captured CPU profile windows attribute
-// solver samples to the owning job — including on the pooled kernel
-// workers, which adopt the labels per dispatch.
+// Solve is the k = 1 case of the block loop (see SolveBlock): it returns
+// that loop's only column with the block's timing, and traces as one
+// "cg-solve" span when Options.Ctx carries a request trace.
 func Solve(a *sparse.CSR, x, b []float64, m Preconditioner, opt Options) Result {
-	if opt.Ctx == nil {
-		return solve(a, x, b, m, opt)
-	}
-	var res Result
-	prof.WithPhase(opt.Ctx, prof.PhaseCG, func(ctx context.Context) {
-		o := opt
-		o.Ctx = ctx
-		res = solve(a, x, b, m, o)
+	br := runLoop(a, x, b, 1, m, BlockOptions{
+		Tol:              opt.Tol,
+		MaxIter:          opt.MaxIter,
+		Workers:          opt.Workers,
+		RecordHistory:    opt.RecordHistory,
+		Progress:         opt.Progress,
+		ProgressDetail:   opt.ProgressDetail,
+		CollectTiming:    opt.CollectTiming,
+		Metrics:          opt.Metrics,
+		Ctx:              opt.Ctx,
+		CancelCheckEvery: opt.CancelCheckEvery,
+		resume:           []*Checkpoint{opt.Resume},
+		stagnation:       opt.StagnationWindow,
+		scalar:           true,
 	})
+	res := br.Columns[0]
+	res.Timing = br.Timing
 	return res
-}
-
-func solve(a *sparse.CSR, x, b []float64, m Preconditioner, opt Options) Result {
-	n := a.Rows
-	if m == nil {
-		m = Identity{}
-	}
-	if opt.Tol <= 0 {
-		opt.Tol = 1e-8
-	}
-	if opt.MaxIter <= 0 {
-		opt.MaxIter = 10000
-	}
-	if opt.Workers <= 0 {
-		// Resolve "all CPUs" once here rather than deferring the <=0
-		// convention to every kernel call.
-		opt.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opt.CancelCheckEvery <= 0 {
-		opt.CancelCheckEvery = 32
-	}
-	collect := opt.CollectTiming
-	var hSpMV, hPrecond, hBlas1 *telemetry.Histogram
-	var iterCtr *telemetry.Counter
-	if collect && opt.Metrics != nil {
-		opt.Metrics.SetHelp("krylov_iter_spmv_ns", "per-iteration SpMV wall time")
-		opt.Metrics.SetHelp("krylov_iter_precond_ns", "per-iteration preconditioner-apply wall time")
-		opt.Metrics.SetHelp("krylov_iter_blas1_ns", "per-iteration BLAS-1 (dot/AXPY/norm) wall time")
-		opt.Metrics.SetHelp("krylov_iterations", "completed CG/PCG iterations")
-		buckets := telemetry.ExpBuckets(100, 10, 8) // 100 ns … 1 s per section
-		hSpMV = opt.Metrics.Histogram("krylov.iter.spmv_ns", buckets)
-		hPrecond = opt.Metrics.Histogram("krylov.iter.precond_ns", buckets)
-		hBlas1 = opt.Metrics.Histogram("krylov.iter.blas1_ns", buckets)
-		iterCtr = opt.Metrics.Counter("krylov.iterations")
-	}
-	// Kernel-layer attribution: the partition plan's residual SpMV load
-	// imbalance and, at the end of the solve, how many pooled dispatches the
-	// solve issued. Both land in the run report / Prometheus surface.
-	var dispatches0 int64
-	if opt.Metrics != nil {
-		opt.Metrics.SetHelp("kernels_pool_dispatches", "parallel-pool task dispatches issued by solves")
-		opt.Metrics.SetHelp("kernels_spmv_imbalance_pct", "residual nnz load imbalance of the SpMV partition plan")
-		dispatches0 = kernels.PoolDispatches()
-		imb := 0.0
-		if opt.Workers > 1 {
-			imb = a.PartitionPlan(opt.Workers).ImbalancePct
-		}
-		opt.Metrics.Gauge("kernels.spmv.imbalance_pct").Set(imb)
-	}
-	eng := kernels.New(n, opt.Workers)
-	if opt.Ctx != nil {
-		// Pooled kernel dispatches adopt the solve's pprof labels; the
-		// preconditioner's own engine (FSAI's two G sweeps) gets the same
-		// treatment when it supports it.
-		eng.SetLabelContext(opt.Ctx)
-		if lc, ok := m.(interface{ SetLabelContext(context.Context) }); ok {
-			lc.SetLabelContext(opt.Ctx)
-		}
-	}
-	var start, t0 time.Time
-	if collect {
-		start = time.Now()
-	}
-	// When the caller's context carries a request trace (the solve service),
-	// the whole CG loop becomes one "cg-solve" span of that request's tree,
-	// tagged with the typed outcome. No-op otherwise (nil span).
-	cgSpan := trace.StartSpan(opt.Ctx, "cg-solve")
-	res := Result{RelResidual: 1}
-	finish := func(status Status) Result {
-		res.Status = status
-		res.Converged = status == StatusConverged
-		if collect {
-			res.Timing.Total = time.Since(start)
-		}
-		if opt.Metrics != nil {
-			opt.Metrics.Counter("kernels.pool.dispatches").Add(kernels.PoolDispatches() - dispatches0)
-		}
-		cgSpan.SetAttr("status", status.String())
-		cgSpan.SetAttr("iterations", fmt.Sprint(res.Iterations))
-		cgSpan.End()
-		return res
-	}
-	// terminal handles the paths that end a solve between the per-iteration
-	// progress emissions (breakdown, cancellation): it appends the final
-	// residual to the history and emits one last ProgressDetail carrying the
-	// terminal status, so SSE watchers see the end instead of a vanishing
-	// solve, then finishes with the typed status.
-	terminal := func(status Status, rel float64, cp *Checkpoint, addHist bool) Result {
-		res.RelResidual = rel
-		res.Checkpoint = cp
-		if opt.RecordHistory && addHist {
-			res.History = append(res.History, rel)
-		}
-		out := finish(status)
-		if opt.ProgressDetail != nil {
-			info := ProgressInfo{
-				Iteration: res.Iterations,
-				RelRes:    rel,
-				Status:    status,
-				Timing:    res.Timing,
-			}
-			opt.ProgressDetail(info)
-		}
-		return out
-	}
-
-	r := append([]float64(nil), b...)
-	z := make([]float64, n)
-	p := make([]float64, n)
-	ap := make([]float64, n)
-
-	spmv := func(y, v []float64) { eng.SpMV(a, y, v) }
-
-	bnorm := eng.Norm2(b)
-	if bnorm == 0 {
-		Fill(x, 0)
-		res.RelResidual = 0
-		return finish(StatusConverged)
-	}
-
-	var rz float64
-	startIter := 0
-	exact := false // exact-recurrence resume: p and rz restored
-	if cp := opt.Resume; cp != nil && len(cp.X) == n {
-		copy(x, cp.X)
-		startIter = cp.Iter
-		res.Iterations = cp.Iter
-		if len(cp.R) == n {
-			copy(r, cp.R)
-		} else {
-			// Recompute r = b - A x from the restored iterate.
-			spmv(ap, x)
-			for i := range r {
-				r[i] = b[i] - ap[i]
-			}
-		}
-		if len(cp.P) == n && !math.IsNaN(cp.RZ) && cp.RZ > 0 {
-			copy(p, cp.P)
-			rz = cp.RZ
-			exact = true
-		}
-	} else {
-		Fill(x, 0)
-	}
-
-	rel := eng.Norm2(r) / bnorm
-	res.RelResidual = rel
-	if math.IsNaN(rel) || math.IsInf(rel, 0) {
-		return terminal(StatusNaNOrInf, rel, nil, true)
-	}
-	if opt.RecordHistory {
-		res.History = append(res.History, rel)
-	}
-	if rel <= opt.Tol {
-		// A resumed solve can arrive already converged.
-		return finish(StatusConverged)
-	}
-	if !exact {
-		if collect {
-			t0 = time.Now()
-		}
-		m.Apply(z, r)
-		if collect {
-			res.Timing.Precond += time.Since(t0)
-		}
-		copy(p, z)
-		rz = eng.Dot(r, z)
-	}
-
-	// Stagnation tracking: the best residual seen and when it was set.
-	bestRel, bestIter := rel, startIter
-
-	snapshot := func(it int) *Checkpoint { return snapshotCheckpoint(it, x, r, p, rz) }
-
-	for it := startIter; it < opt.MaxIter; it++ {
-		if opt.Ctx != nil && (it-startIter)%opt.CancelCheckEvery == 0 {
-			select {
-			case <-opt.Ctx.Done():
-				// The last residual is already in the history; don't
-				// duplicate it.
-				return terminal(StatusCancelled, res.RelResidual, snapshot(it), false)
-			default:
-			}
-		}
-		if opt.CheckpointEvery > 0 && opt.OnCheckpoint != nil &&
-			it > startIter && (it-startIter)%opt.CheckpointEvery == 0 {
-			opt.OnCheckpoint(*snapshot(it))
-		}
-		if collect {
-			t0 = time.Now()
-		}
-		spmv(ap, p)
-		if faultinject.Enabled() {
-			faultinject.SpMVOut(it+1, ap)
-		}
-		if collect {
-			d := time.Since(t0)
-			res.Timing.SpMV += d
-			hSpMV.Observe(float64(d.Nanoseconds()))
-			t0 = time.Now()
-		}
-		pap := eng.Dot(p, ap)
-		if pap <= 0 || math.IsNaN(pap) || math.IsInf(pap, 0) {
-			// Breakdown: A (or the preconditioned operator) lost positive
-			// definiteness in finite precision, or a NaN/Inf entered the
-			// recurrence. The iterate x and residual r are still the last
-			// good state, so hand them back as a warm checkpoint; the
-			// direction p is what broke, so it is dropped.
-			status := StatusIndefinite
-			if math.IsNaN(pap) || math.IsInf(pap, 0) {
-				status = StatusNaNOrInf
-			}
-			rel := eng.Norm2(r) / bnorm
-			if collect {
-				// Record the partial BLAS-1 slice (the pᵀAp dot and the
-				// final norm) so the breakdown path loses no timing.
-				d := time.Since(t0)
-				res.Timing.BLAS1 += d
-				hBlas1.Observe(float64(d.Nanoseconds()))
-			}
-			return terminal(status, rel, warmCheckpoint(it, x, r), true)
-		}
-		alpha := rz / pap
-		// Fused iterate/residual update: x += αp, r -= αap and ‖r‖² in one
-		// sweep instead of the textbook two AXPYs plus a norm. The serial
-		// path is bit-identical to the separate kernels.
-		rr := eng.XRUpdate(alpha, p, ap, x, r)
-		res.Iterations = it + 1
-		rel := math.Sqrt(rr) / bnorm
-		res.RelResidual = rel
-		if collect {
-			d := time.Since(t0)
-			res.Timing.BLAS1 += d
-			hBlas1.Observe(float64(d.Nanoseconds()))
-		}
-		iterCtr.Inc()
-		if math.IsNaN(rel) || math.IsInf(rel, 0) {
-			// The iterate itself may be poisoned; no checkpoint to offer.
-			return terminal(StatusNaNOrInf, rel, nil, true)
-		}
-		if opt.RecordHistory {
-			res.History = append(res.History, rel)
-		}
-		if opt.Progress != nil {
-			opt.Progress(it+1, rel)
-		}
-		if opt.ProgressDetail != nil {
-			info := ProgressInfo{Iteration: it + 1, RelRes: rel, Converged: rel <= opt.Tol, Timing: res.Timing}
-			if collect {
-				info.Timing.Total = time.Since(start)
-			}
-			opt.ProgressDetail(info)
-		}
-		if rel <= opt.Tol {
-			return finish(StatusConverged)
-		}
-		if opt.StagnationWindow > 0 {
-			if rel < bestRel*(1-StagnationRelImprovement) {
-				bestRel, bestIter = rel, it+1
-			} else if it+1-bestIter >= opt.StagnationWindow {
-				return terminal(StatusStagnation, rel, warmCheckpoint(it+1, x, r), false)
-			}
-		}
-		if collect {
-			t0 = time.Now()
-		}
-		m.Apply(z, r)
-		if collect {
-			d := time.Since(t0)
-			res.Timing.Precond += d
-			hPrecond.Observe(float64(d.Nanoseconds()))
-			t0 = time.Now()
-		}
-		rzNew := eng.Dot(r, z)
-		beta := rzNew / rz
-		eng.Xpay(z, beta, p)
-		rz = rzNew
-		if collect {
-			res.Timing.BLAS1 += time.Since(t0)
-		}
-	}
-	// Budget exhausted: keep a full checkpoint so the caller can continue
-	// with a larger budget via Resume.
-	res.Checkpoint = snapshot(opt.MaxIter)
-	return finish(StatusMaxIter)
 }

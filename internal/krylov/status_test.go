@@ -325,43 +325,6 @@ func TestResumeWarmWithoutResidual(t *testing.T) {
 	}
 }
 
-func TestPeriodicCheckpoints(t *testing.T) {
-	n := 150
-	a := tridiag(n, -1, 2, -1)
-	rhs := make([]float64, n)
-	rhs[0] = 1
-	x := make([]float64, n)
-
-	var cps []Checkpoint
-	opt := DefaultOptions()
-	opt.CheckpointEvery = 10
-	opt.OnCheckpoint = func(cp Checkpoint) { cps = append(cps, cp) }
-	res := Solve(a, x, rhs, nil, opt)
-	if !res.Converged {
-		t.Fatalf("not converged")
-	}
-	if len(cps) == 0 {
-		t.Fatalf("no periodic checkpoints emitted over %d iterations", res.Iterations)
-	}
-	for _, cp := range cps {
-		if cp.Iter%10 != 0 || len(cp.X) != n || len(cp.P) != n {
-			t.Fatalf("bad periodic checkpoint: iter=%d len(X)=%d len(P)=%d", cp.Iter, len(cp.X), len(cp.P))
-		}
-	}
-
-	// Snapshots must own their buffers: resuming from any of them converges
-	// to the same tolerance even though the original solve kept mutating x.
-	mid := cps[len(cps)/2]
-	y := make([]float64, n)
-	opt2 := DefaultOptions()
-	opt2.Resume = &mid
-	res2 := Solve(a, y, rhs, nil, opt2)
-	if !res2.Converged || res2.Iterations != res.Iterations {
-		t.Fatalf("resume from periodic checkpoint: status=%v iters=%d want converged in %d",
-			res2.Status, res2.Iterations, res.Iterations)
-	}
-}
-
 func TestAllFinite(t *testing.T) {
 	if !AllFinite([]float64{0, 1, -2.5}) {
 		t.Errorf("finite slice misreported")

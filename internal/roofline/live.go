@@ -74,31 +74,7 @@ func SolveEstimate(a, g *sparse.CSR, iters int, spmvNS, precondNS, blas1NS int64
 	}
 	out := make([]Achieved, 0, 3)
 	add := func(name string, calls int64, flops, bytes float64, ns int64) {
-		if ns <= 0 || flops <= 0 {
-			return
-		}
-		sec := float64(ns) / 1e9
-		k := Kernel{Name: name, Flops: flops, Bytes: bytes}
-		att := Attainable(k, machine)
-		e := Achieved{
-			Kernel:                 name,
-			Calls:                  calls,
-			Flops:                  flops,
-			Bytes:                  bytes,
-			Seconds:                sec,
-			AchievedFlops:          flops / sec,
-			AchievedBandwidthBytes: bytes / sec,
-			AI:                     k.AI(),
-			AttainableFlops:        att,
-			Bound:                  "compute",
-		}
-		if BandwidthBound(k, machine) {
-			e.Bound = "bandwidth"
-		}
-		if att > 0 {
-			e.PctOfAttainable = 100 * e.AchievedFlops / att
-		}
-		out = append(out, e)
+		out = appendAchieved(out, name, calls, flops, bytes, ns, machine)
 	}
 
 	it := float64(iters)
@@ -130,31 +106,7 @@ func BlockSolveEstimate(a, g *sparse.CSR, sweeps int, colIters int64, spmvNS, pr
 	}
 	out := make([]Achieved, 0, 3)
 	add := func(name string, calls int64, flops, bytes float64, ns int64) {
-		if ns <= 0 || flops <= 0 {
-			return
-		}
-		sec := float64(ns) / 1e9
-		k := Kernel{Name: name, Flops: flops, Bytes: bytes}
-		att := Attainable(k, machine)
-		e := Achieved{
-			Kernel:                 name,
-			Calls:                  calls,
-			Flops:                  flops,
-			Bytes:                  bytes,
-			Seconds:                sec,
-			AchievedFlops:          flops / sec,
-			AchievedBandwidthBytes: bytes / sec,
-			AI:                     k.AI(),
-			AttainableFlops:        att,
-			Bound:                  "compute",
-		}
-		if BandwidthBound(k, machine) {
-			e.Bound = "bandwidth"
-		}
-		if att > 0 {
-			e.PctOfAttainable = 100 * e.AchievedFlops / att
-		}
-		out = append(out, e)
+		out = appendAchieved(out, name, calls, flops, bytes, ns, machine)
 	}
 
 	sw := float64(sweeps)
@@ -173,4 +125,36 @@ func BlockSolveEstimate(a, g *sparse.CSR, sweeps int, colIters int64, spmvNS, pr
 	n := float64(a.Rows)
 	add(KernelBLAS1, int64(sweeps), 12*n*ci, 104*n*ci, blas1NS)
 	return out
+}
+
+// appendAchieved places one kernel class of a finished solve — calls
+// invocations moving bytes and doing flops in ns — against the machine's
+// roofs and appends it to out. Classes that took no time or did no work
+// are skipped.
+func appendAchieved(out []Achieved, name string, calls int64, flops, bytes float64, ns int64, machine arch.Arch) []Achieved {
+	if ns <= 0 || flops <= 0 {
+		return out
+	}
+	sec := float64(ns) / 1e9
+	k := Kernel{Name: name, Flops: flops, Bytes: bytes}
+	att := Attainable(k, machine)
+	e := Achieved{
+		Kernel:                 name,
+		Calls:                  calls,
+		Flops:                  flops,
+		Bytes:                  bytes,
+		Seconds:                sec,
+		AchievedFlops:          flops / sec,
+		AchievedBandwidthBytes: bytes / sec,
+		AI:                     k.AI(),
+		AttainableFlops:        att,
+		Bound:                  "compute",
+	}
+	if BandwidthBound(k, machine) {
+		e.Bound = "bandwidth"
+	}
+	if att > 0 {
+		e.PctOfAttainable = 100 * e.AchievedFlops / att
+	}
+	return append(out, e)
 }

@@ -2,15 +2,10 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"log/slog"
-	"math"
-	"net/http"
 	"sync"
 	"time"
 
-	fsai "repro/internal/core"
 	"repro/internal/krylov"
 	"repro/internal/obs"
 	"repro/internal/prof"
@@ -33,35 +28,9 @@ import (
 // record and run report, and a column whose client deadline expires
 // deflates out of the block without poisoning the other columns.
 
-// batchMember is one job waiting in (or solved by) a batch group.
-type batchMember struct {
-	id       string
-	req      *SolveRequest
-	rm       *RegisteredMatrix
-	ji       *JobInfo
-	tr       *telemetry.Tracer
-	tc       trace.Context
-	enqueued time.Time
-	// reqCtx carries the client's propagated deadline and disconnect;
-	// timeout is the in-flight budget applied once the batch is admitted
-	// (min with reqCtx's own deadline, exactly like the unbatched path).
-	reqCtx  context.Context
-	timeout time.Duration
-	done    chan batchOutcome
-}
-
-// batchOutcome is what the batch runner hands back to each waiting job.
-type batchOutcome struct {
-	resp *SolveResponse
-	err  error // admission or setup failure; resp is nil
-	// setup distinguishes a preconditioner-build failure (HTTP 500, like an
-	// unbatched runJob error) from an admission failure (429/503/504).
-	setup bool
-}
-
 type batchGroup struct {
 	key     string
-	members []*batchMember
+	members []*job
 	timer   *time.Timer
 }
 
@@ -106,7 +75,7 @@ func (b *batcher) eligible(req *SolveRequest, rm *RegisteredMatrix) bool {
 // submit adds m to its group, opening one (and arming the window timer) if
 // none is collecting. The group launches when the timer fires or when it
 // reaches max members, whichever comes first.
-func (b *batcher) submit(key string, m *batchMember) {
+func (b *batcher) submit(key string, m *job) {
 	b.mu.Lock()
 	g := b.groups[key]
 	if g == nil {
@@ -161,21 +130,34 @@ func mergedDone(ctxs []context.Context) (context.Context, context.CancelFunc) {
 	return ctx, cancel
 }
 
+// wait enrolls j in its batch group and blocks until the group's block
+// solve hands back j's result. The window span covers submit-to-result; the
+// runner nests the job's batched-solve span (batch id, column) inside it.
+// Kernel-level solve spans land on the batch leader's trace.
+func (b *batcher) wait(j *job) (*SolveResponse, error) {
+	j.done = make(chan jobResult, 1)
+	windowSpan := j.tr.StartSpan("batch-window")
+	b.submit(batchKey(j.rm.Info.Fingerprint, j.req), j)
+	out := <-j.done
+	windowSpan.End()
+	return out.resp, out.err
+}
+
 // run executes one batch group end to end: one admission slot, one block
-// solve, per-member result fan-out. It runs on its own goroutine; every
-// member's handler goroutine is blocked on its done channel.
-func (b *batcher) run(members []*batchMember) {
+// solve, per-member completion. It runs on its own goroutine; every
+// member's handler goroutine is blocked in wait.
+func (b *batcher) run(members []*job) {
 	s := b.s
 	k := len(members)
 	leader := members[0]
-	rm := leader.rm
+	rm, req := leader.rm, leader.req
 	launchedAt := time.Now()
 	batchID := fmt.Sprintf("batch-%06d", s.seq.Add(1))
 	logw := s.log.With("batch_id", batchID, "matrix", shortFP(rm.Info.Fingerprint))
 
-	fail := func(err error, setup bool) {
+	fail := func(err error) {
 		for _, m := range members {
-			m.done <- batchOutcome{err: err, setup: setup}
+			m.done <- jobResult{err: err}
 		}
 	}
 
@@ -200,16 +182,13 @@ func (b *batcher) run(members []*batchMember) {
 		prof.LabelPhase, prof.PhaseAdmission)
 	if err != nil {
 		logw.Warn("batch admission failed", "jobs", k, "error", err.Error())
-		fail(err, false)
+		fail(err)
 		return
 	}
 	defer release()
 	admittedAt := time.Now()
-
 	for _, m := range members {
-		m.ji.QueueWaitNS = admittedAt.Sub(m.enqueued).Nanoseconds()
-		m.ji.State = JobRunning
-		s.jobs.put(*m.ji)
+		s.markAdmitted(m, admittedAt)
 	}
 
 	// Per-column contexts: each column's in-flight budget is
@@ -219,7 +198,7 @@ func (b *batcher) run(members []*batchMember) {
 	// caller is left.
 	colCtx := make([]context.Context, k)
 	for i, m := range members {
-		ctx, cancel := context.WithTimeout(m.reqCtx, m.timeout)
+		ctx, cancel := context.WithTimeout(m.reqCtx, m.budget(s.opt.DefaultTimeout))
 		defer cancel()
 		colCtx[i] = ctx
 	}
@@ -237,37 +216,16 @@ func (b *batcher) run(members []*batchMember) {
 	}
 
 	// The factor should be warm (eligibility checked residency), but the
-	// entry may have been evicted while the window was open — GetOrBuild
-	// handles both, single-flight, like the unbatched path.
-	req := leader.req
-	key := PrecondKey(rm.Info.Fingerprint, req)
-	a := rm.A
-	entry, hit, err := s.cache.GetOrBuild(batchCtx, key, func() (*CachedPrecond, error) {
-		t0 := time.Now()
-		fo := fsai.Options{
-			Variant:      fsai.VariantFull,
-			Filter:       req.Filter,
-			LineBytes:    req.LineBytes,
-			PatternPower: req.PatternPower,
-			ThresholdTau: req.Tau,
-			MaxRowNNZ:    512,
-			Workers:      s.opt.Workers,
-			Tracer:       trace.TracerFromContext(batchCtx),
-			Ctx:          batchCtx,
-		}
-		p, berr := buildFSAIFamily(req.Precond, a, fo)
-		if berr != nil {
-			return nil, berr
-		}
-		return &CachedPrecond{P: p, SetupNS: time.Since(t0).Nanoseconds()}, nil
-	})
+	// entry may have been evicted while the window was open — factor
+	// rebuilds it single-flight, like the unbatched path.
+	entry, hit, err := s.factor(batchCtx, logw, rm, req)
 	if err != nil {
 		for _, sp := range spans {
 			sp.SetAttr("outcome", "setup-error")
 			sp.End()
 		}
 		logw.Error("batch preconditioner failed", "error", err.Error())
-		fail(fmt.Errorf("preconditioner: %v", err), true)
+		fail(fmt.Errorf("preconditioner: %v", err))
 		return
 	}
 	cacheOutcome := CacheHit
@@ -275,35 +233,18 @@ func (b *batcher) run(members []*batchMember) {
 	if !hit {
 		cacheOutcome = CacheMiss
 		setupNS = entry.SetupNS
-		if s.store != nil {
-			if serr := s.store.PutFactor(key, rm.Info.Fingerprint, entry.P, entry.SetupNS); serr != nil {
-				s.log.Warn("store factor write failed",
-					"batch_id", batchID, "matrix", shortFP(rm.Info.Fingerprint), "error", serr.Error())
-			}
-		}
 	}
 
-	// Assemble the column-major RHS block; empty RHS means all-ones, same
-	// as the unbatched path.
+	// Assemble the column-major RHS block.
+	a := rm.A
 	n := a.Rows
 	bblk := make([]float64, n*k)
 	for i, m := range members {
-		col := bblk[i*n : (i+1)*n]
-		if len(m.req.RHS) == 0 {
-			for j := range col {
-				col[j] = 1
-			}
-		} else {
-			copy(col, m.req.RHS)
-		}
+		fillRHS(bblk[i*n:(i+1)*n], m.req)
 	}
 	xblk := make([]float64, n*k)
 
-	label := rm.Info.Name
-	if label == "" {
-		label = shortFP(rm.Info.Fingerprint)
-	}
-	s.watcher.Begin(fmt.Sprintf("%s/%s[k=%d]", label, req.Precond, k), req.Tol, req.MaxIter)
+	s.watcher.Begin(fmt.Sprintf("%s/%s[k=%d]", rm.label(), req.Precond, k), req.Tol, req.MaxIter)
 	ko := krylov.BlockOptions{
 		Tol:            req.Tol,
 		MaxIter:        req.MaxIter,
@@ -356,19 +297,11 @@ func (b *batcher) run(members []*batchMember) {
 		"solve_ns", solveNS, "per_rhs_ns", solveNS/int64(k), "achieved_ai", achievedAI)
 
 	for i, mem := range members {
-		res := br.Columns[i]
 		resp := &SolveResponse{
-			JobID:      mem.id,
-			TraceID:    mem.tc.TraceID,
-			Matrix:     rm.Info.Fingerprint,
-			Precond:    req.Precond,
-			Cache:      cacheOutcome,
-			Iterations: res.Iterations,
-			Converged:  res.Converged,
-			Status:     res.Status.String(),
-			RelRes:     res.RelResidual,
-			SetupNS:    setupNS,
-			SolveNS:    solveNS,
+			JobID:   mem.id,
+			Matrix:  rm.Info.Fingerprint,
+			Precond: req.Precond,
+			Cache:   cacheOutcome,
 			Batch: &BatchInfo{
 				ID:           batchID,
 				Size:         k,
@@ -381,144 +314,16 @@ func (b *batcher) run(members []*batchMember) {
 		}
 		s.reg.Histogram("batch.window_wait_ns", telemetry.ExpBuckets(1e5, 4, 10)).
 			Observe(float64(resp.Batch.WindowWaitNS))
-		if rsol != nil {
-			resp.LowBandwidth = rsol.LowBandwidth
-		}
-		if hit && res.Converged {
-			if base := entry.BaselineIters(); IterationAnomaly(base, res.Iterations) {
-				resp.IterAnomaly = true
-				s.log.Warn("iteration-count anomaly on batched warm solve",
-					"job_id", mem.id, "batch_id", batchID,
-					"baseline_iters", base, "iterations", res.Iterations)
-			}
-		}
-		if res.Converged {
-			entry.SetBaselineIters(res.Iterations)
-		}
-		if mem.req.ReturnSolution {
-			resp.X = append([]float64(nil), xblk[i*n:(i+1)*n]...)
-		}
-		s.slo.ObserveSolve(rm.Info.Fingerprint, cacheOutcome == CacheHit,
-			setupNS+solveNS, mem.ji.QueueWaitNS)
-		if resp.IterAnomaly {
-			s.slo.RecordIterationAnomaly(rm.Info.Fingerprint)
-		}
-		if s.opt.RunsDir != "" {
-			resp.Report = s.writeJobReport(mem.id, rm, mem.req, resp, entry.P, nil, res, mem.ji, rsol)
-		}
+		s.complete(mem, resp, column{
+			res: br.Columns[i], x: xblk[i*n : (i+1)*n : (i+1)*n],
+			entry: entry, g: entry.P, rsol: rsol,
+			setupNS: setupNS, solveNS: solveNS,
+		})
 		spans[i].SetAttr("outcome", resp.Status)
 		spans[i].SetAttr("cache", resp.Cache)
 		spans[i].End()
-		mem.done <- batchOutcome{resp: resp}
+		mem.done <- jobResult{resp: resp}
 	}
-}
-
-// solveBatched is the handler-side half of the batch path: it enrolls the
-// job in its batch group, blocks until the group's block solve finishes,
-// and completes the job's own bookkeeping — job log, metrics, trace record,
-// HTTP response — exactly as the unbatched tail of handleSolve would. The
-// returned response (nil on failure) feeds the caller's idempotency
-// completion.
-func (s *Server) solveBatched(w http.ResponseWriter, reqCtx context.Context, clientDeadline bool, id string, rm *RegisteredMatrix, req *SolveRequest, tc trace.Context, parentSpan string, tr *telemetry.Tracer, root *telemetry.Span, logw *slog.Logger, enqueued time.Time, ji *JobInfo) *SolveResponse {
-	timeout := s.opt.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	m := &batchMember{
-		id: id, req: req, rm: rm, ji: ji, tr: tr, tc: tc,
-		enqueued: enqueued, reqCtx: reqCtx, timeout: timeout,
-		done: make(chan batchOutcome, 1),
-	}
-	// The window span covers submit-to-result; the runner nests the job's
-	// batched-solve span (batch id, column) inside it. Kernel-level solve
-	// spans land on the batch leader's trace.
-	windowSpan := tr.StartSpan("batch-window")
-	s.batch.submit(batchKey(rm.Info.Fingerprint, req), m)
-	out := <-m.done
-	windowSpan.End()
-
-	if out.err != nil {
-		ji.FinishedAt = time.Now().UTC().Format(time.RFC3339Nano)
-		if out.setup {
-			ji.State = JobFailed
-			ji.Err = out.err.Error()
-			s.jobs.put(*ji)
-			s.reg.Counter(`service.jobs{status="setup-error"}`).Inc()
-			root.SetAttr("outcome", JobFailed)
-			root.End()
-			s.recordTrace(tr, tc, parentSpan, ji, JobFailed)
-			logw.Error("job failed", "error", out.err.Error())
-			writeJSON(w, http.StatusInternalServerError, ErrorBody{
-				Error: out.err.Error(), JobID: id, TraceID: tc.TraceID})
-			return nil
-		}
-		ji.State = JobRejected
-		ji.Err = out.err.Error()
-		s.jobs.put(*ji)
-		root.SetAttr("outcome", JobRejected)
-		root.End()
-		s.recordTrace(tr, tc, parentSpan, ji, JobRejected)
-		logw.Warn("job rejected", "error", out.err.Error())
-		var sat *SaturatedError
-		if errors.As(out.err, &sat) {
-			secs := int(math.Ceil(sat.RetryAfter.Seconds()))
-			w.Header().Set("Retry-After", fmt.Sprint(secs))
-			writeJSON(w, http.StatusTooManyRequests, ErrorBody{
-				Error: out.err.Error(), RetryAfterS: secs, JobID: id, TraceID: tc.TraceID})
-			return nil
-		}
-		if clientDeadline && errors.Is(reqCtx.Err(), context.DeadlineExceeded) {
-			s.reg.Counter("retry.deadline_expired_total").Inc()
-			logw.Warn("client deadline expired while queued")
-			writeJSON(w, http.StatusGatewayTimeout, ErrorBody{
-				Error: "client deadline expired while queued", JobID: id, TraceID: tc.TraceID})
-			return nil
-		}
-		writeJSON(w, http.StatusServiceUnavailable, ErrorBody{
-			Error: out.err.Error(), JobID: id, TraceID: tc.TraceID})
-		return nil
-	}
-
-	resp := out.resp
-	total := time.Since(enqueued)
-	ji.TotalNS = total.Nanoseconds()
-	ji.FinishedAt = time.Now().UTC().Format(time.RFC3339Nano)
-	s.adm.observe(total.Nanoseconds())
-	s.reg.Histogram("service.job.total_ns", telemetry.ExpBuckets(1e6, 2, 24)).
-		Observe(float64(total.Nanoseconds()))
-	s.reg.Histogram("service.job.queue_wait_ns", telemetry.ExpBuckets(1e4, 4, 12)).
-		Observe(float64(ji.QueueWaitNS))
-	resp.TotalNS = total.Nanoseconds()
-	resp.QueueWaitNS = ji.QueueWaitNS
-	ji.State = JobDone
-	ji.Cache = resp.Cache
-	ji.Status = resp.Status
-	ji.Iterations = resp.Iterations
-	ji.Converged = resp.Converged
-	ji.RelRes = resp.RelRes
-	ji.SetupNS = resp.SetupNS
-	ji.SolveNS = resp.SolveNS
-	ji.Batch = resp.Batch.ID
-	s.jobs.put(*ji)
-	s.reg.Counter(fmt.Sprintf("service.jobs{status=%q}", resp.Status)).Inc()
-	if clientDeadline && errors.Is(reqCtx.Err(), context.DeadlineExceeded) {
-		// The client's budget expired mid-batch; the column deflated out of
-		// the block (status "cancelled") without poisoning the other jobs.
-		s.reg.Counter("retry.deadline_expired_total").Inc()
-		logw.Warn("client deadline expired in flight", "status", resp.Status)
-	}
-	root.SetAttr("outcome", resp.Status)
-	root.SetAttr("cache", resp.Cache)
-	root.SetAttr("batch_id", resp.Batch.ID)
-	root.End()
-	s.recordTrace(tr, tc, parentSpan, ji, resp.Status)
-	logw.Info("job done",
-		"status", resp.Status, "cache", resp.Cache, "iterations", resp.Iterations,
-		"converged", resp.Converged, "queue_wait_ns", resp.QueueWaitNS,
-		"setup_ns", resp.SetupNS, "solve_ns", resp.SolveNS, "total_ns", resp.TotalNS,
-		"batch_id", resp.Batch.ID, "batch_size", resp.Batch.Size)
-	writeJSON(w, http.StatusOK, resp)
-	return resp
 }
 
 // batchWatcherResult condenses a block result into the single-solve shape

@@ -22,6 +22,15 @@ type RegisteredMatrix struct {
 	A    *sparse.CSR
 }
 
+// label names the matrix in watcher labels and run reports: its alias, or
+// the short fingerprint of an unnamed upload.
+func (rm *RegisteredMatrix) label() string {
+	if rm.Info.Name != "" {
+		return rm.Info.Name
+	}
+	return shortFP(rm.Info.Fingerprint)
+}
+
 // MatrixRegistry is the content-addressed matrix store. Registration
 // deduplicates by fingerprint: uploading the same bytes twice yields the
 // same handle and keeps one copy. All methods are safe for concurrent use.

@@ -600,6 +600,62 @@ func TestMalformedDeadlineHeaderIsRejected(t *testing.T) {
 	}
 }
 
+// TestBatchedSolveAfterDeleteLeavesNoFactor: a matrix unregistered while a
+// batched warm solve waits in its window loses its cached factor; the batch
+// then rebuilds it (a cache miss) for the solve already admitted, and that
+// rebuild must be swept like an unbatched one — no cache entry and no
+// factor file may outlive the unregister.
+func TestBatchedSolveAfterDeleteLeavesNoFactor(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	_, url, _ := newDurableServer(t, dir, service.Options{
+		Metrics: telemetry.NewRegistry(), BatchWindow: 400 * time.Millisecond})
+	c := client.New(url)
+	info, err := c.RegisterMatgen(ctx, "lap64x64", "")
+	if err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	req := service.SolveRequest{Matrix: info.Fingerprint, Precond: "fsaie"}
+	if resp, err := c.Solve(ctx, req); err != nil || resp.Cache != service.CacheMiss {
+		t.Fatalf("priming solve: %+v err=%v", resp, err)
+	}
+
+	type result struct {
+		resp *service.SolveResponse
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, err := c.Solve(ctx, req)
+		done <- result{resp, err}
+	}()
+	time.Sleep(100 * time.Millisecond) // inside the batch window
+	if err := c.Unregister(ctx, info.Fingerprint); err != nil {
+		t.Fatalf("unregister: %v", err)
+	}
+	out := <-done
+	if out.err != nil {
+		t.Fatalf("batched solve: %v", out.err)
+	}
+	if out.resp.Batch == nil || out.resp.Cache != service.CacheMiss {
+		t.Fatalf("solve took batch=%+v cache=%s, want a batched rebuild (miss)", out.resp.Batch, out.resp.Cache)
+	}
+	stats, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	if stats.Cache.Entries != 0 || stats.Matrices != 0 {
+		t.Fatalf("after delete: cache=%d matrices=%d, want 0/0", stats.Cache.Entries, stats.Matrices)
+	}
+	ents, err := os.ReadDir(filepath.Join(dir, "factors"))
+	if err != nil {
+		t.Fatalf("readdir factors: %v", err)
+	}
+	if len(ents) != 0 {
+		t.Fatalf("%d factor files outlived the unregister", len(ents))
+	}
+}
+
 // TestBatchedSolvesBitIdenticalToUnbatched is the batcher's core contract:
 // concurrent warm solves grouped into one block solve return exactly the
 // bits the same jobs produce unbatched — per-column solutions, iteration

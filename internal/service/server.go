@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net"
 	"net/http"
 	"path/filepath"
@@ -702,7 +701,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set("traceparent", tc.Traceparent())
-	logw := s.log.With("job_id", id, "trace_id", tc.TraceID)
 
 	// One tracer per job: span trees of concurrent jobs must never mix, and
 	// the stack-based tracer nests correctly only on its own goroutine.
@@ -713,122 +711,82 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	root.SetAttr("precond", req.Precond)
 
 	enqueued := time.Now()
-	ji := JobInfo{
-		ID:         id,
-		TraceID:    tc.TraceID,
-		Matrix:     rm.Info.Fingerprint,
-		Precond:    req.Precond,
-		State:      JobQueued,
-		EnqueuedAt: enqueued.UTC().Format(time.RFC3339Nano),
+	j := &job{
+		id: id, req: &req, rm: rm, tr: tr, tc: tc, parentSpan: parentSpan, root: root,
+		log:      s.log.With("job_id", id, "trace_id", tc.TraceID),
+		enqueued: enqueued, reqCtx: reqCtx, clientDeadline: clientDeadline,
+		ji: JobInfo{
+			ID:         id,
+			TraceID:    tc.TraceID,
+			Matrix:     rm.Info.Fingerprint,
+			Precond:    req.Precond,
+			State:      JobQueued,
+			EnqueuedAt: enqueued.UTC().Format(time.RFC3339Nano),
+		},
 	}
-	s.jobs.put(ji)
-	logw.Info("job enqueued",
+	s.jobs.put(j.ji)
+	j.log.Info("job enqueued",
 		"matrix", shortFP(rm.Info.Fingerprint), "precond", req.Precond)
 
 	// Memory-watermark degradation gate: under pressure only solves that
 	// skip the allocation-heavy setup phase (warm cache hits, none/jacobi)
-	// are admitted; under critical everything sheds. Shedding answers 429
-	// exactly like queue saturation, so retrying clients back off the same
-	// way.
+	// are admitted; under critical everything sheds.
 	if state, shed := s.degrade.admit(s.solveIsWarm(&req, rm)); shed {
-		ji.State = JobRejected
-		ji.Err = fmt.Sprintf("shed: memory %s", degradeName(state))
-		ji.FinishedAt = time.Now().UTC().Format(time.RFC3339Nano)
-		s.jobs.put(ji)
-		root.SetAttr("outcome", JobRejected)
-		root.End()
-		s.recordTrace(tr, tc, parentSpan, &ji, JobRejected)
-		logw.Warn("job shed under memory pressure", "state", degradeName(state))
-		secs := int(math.Ceil(s.adm.retryAfter().Seconds()))
-		w.Header().Set("Retry-After", fmt.Sprint(secs))
-		writeJSON(w, http.StatusTooManyRequests, ErrorBody{
-			Error:       fmt.Sprintf("service: shedding load, memory state %q", degradeName(state)),
-			RetryAfterS: secs, JobID: id, TraceID: tc.TraceID})
+		s.finishJob(w, j, nil, &shedError{state: degradeName(state)})
 		return
 	}
 
 	// Batched path: a warm-cache FSAI solve may group with concurrent
 	// requests on the same (fingerprint, setup options, tol, max_iter) into
 	// one block solve over a single admission slot. Results are bit-identical
-	// to the unbatched path; only scheduling changes. Idempotency completion
-	// stays with this handler via finalResp.
+	// to the unbatched path; only scheduling changes.
+	var (
+		resp *SolveResponse
+		err  error
+	)
 	if s.batch != nil && s.batch.eligible(&req, rm) {
-		finalResp = s.solveBatched(w, reqCtx, clientDeadline, id, rm, &req,
-			tc, parentSpan, tr, root, logw, enqueued, &ji)
-		return
+		resp, err = s.batch.wait(j)
+	} else {
+		resp, err = s.runUnbatched(j)
 	}
+	finalResp = s.finishJob(w, j, resp, err)
+}
 
+// runUnbatched admits j into a solve slot of its own and runs it.
+func (s *Server) runUnbatched(j *job) (*SolveResponse, error) {
 	// The admission wait runs under the job's pprof labels with
 	// phase=admission, so a captured CPU window shows queueing as its own
 	// attributed slice, distinct from setup and CG time.
-	admSpan := tr.StartSpan("admission-wait")
+	fp := shortFP(j.rm.Info.Fingerprint)
+	admSpan := j.tr.StartSpan("admission-wait")
 	var (
 		release func()
 		err     error
 	)
-	prof.Do(reqCtx, func(lctx context.Context) {
+	prof.Do(j.reqCtx, func(lctx context.Context) {
 		release, err = s.adm.acquire(lctx)
-	}, prof.LabelJobID, id, prof.LabelTraceID, tc.TraceID,
-		prof.LabelFingerprint, shortFP(rm.Info.Fingerprint),
-		prof.LabelPhase, prof.PhaseAdmission)
+	}, prof.LabelJobID, j.id, prof.LabelTraceID, j.tc.TraceID,
+		prof.LabelFingerprint, fp, prof.LabelPhase, prof.PhaseAdmission)
 	admSpan.End()
 	if err != nil {
-		ji.State = JobRejected
-		ji.Err = err.Error()
-		ji.FinishedAt = time.Now().UTC().Format(time.RFC3339Nano)
-		s.jobs.put(ji)
-		root.SetAttr("outcome", JobRejected)
-		root.End()
-		s.recordTrace(tr, tc, parentSpan, &ji, JobRejected)
-		logw.Warn("job rejected", "error", err.Error())
-		var sat *SaturatedError
-		if errors.As(err, &sat) {
-			secs := int(math.Ceil(sat.RetryAfter.Seconds()))
-			w.Header().Set("Retry-After", fmt.Sprint(secs))
-			writeJSON(w, http.StatusTooManyRequests, ErrorBody{
-				Error: err.Error(), RetryAfterS: secs, JobID: id, TraceID: tc.TraceID})
-			return
-		}
-		if clientDeadline && errors.Is(err, context.DeadlineExceeded) {
-			// The client's propagated budget ran out while the job was still
-			// queue-waiting: give back the queue spot and say so — 504, the
-			// deadline-specific "the server did not finish in time" status.
-			s.reg.Counter("retry.deadline_expired_total").Inc()
-			logw.Warn("client deadline expired while queued")
-			writeJSON(w, http.StatusGatewayTimeout, ErrorBody{
-				Error: "client deadline expired while queued", JobID: id, TraceID: tc.TraceID})
-			return
-		}
-		// The client went away while queued; the body is written for the log.
-		writeJSON(w, http.StatusServiceUnavailable, ErrorBody{
-			Error: err.Error(), JobID: id, TraceID: tc.TraceID})
-		return
+		return nil, err
 	}
 	defer release()
+	s.markAdmitted(j, time.Now())
 
-	ji.QueueWaitNS = time.Since(enqueued).Nanoseconds()
-	ji.State = JobRunning
-	s.jobs.put(ji)
-	s.reg.Histogram("service.job.queue_wait_ns", telemetry.ExpBuckets(1e4, 4, 12)).
-		Observe(float64(ji.QueueWaitNS))
-
-	timeout := s.opt.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
 	// reqCtx already carries the client's propagated deadline (when sent),
 	// so the effective in-flight budget is min(client deadline, timeout):
 	// whichever fires first cancels queue-era CG via krylov's Ctx path.
-	ctx, cancel := context.WithTimeout(reqCtx, timeout)
+	ctx, cancel := context.WithTimeout(j.reqCtx, j.budget(s.opt.DefaultTimeout))
 	defer cancel()
 	// Everything below the handler reads the identifiers and the span
 	// tracer from the context — no new parameters through cache/krylov.
-	ctx = trace.NewContext(ctx, tc, tr)
+	ctx = trace.NewContext(ctx, j.tc, j.tr)
 
-	if req.HoldMS > 0 {
+	if j.req.HoldMS > 0 {
 		// Admission-control drill: occupy the slot without burning CPU.
-		holdSpan := tr.StartSpan("hold")
-		hold := time.NewTimer(time.Duration(req.HoldMS) * time.Millisecond)
+		holdSpan := j.tr.StartSpan("hold")
+		hold := time.NewTimer(time.Duration(j.req.HoldMS) * time.Millisecond)
 		select {
 		case <-hold.C:
 		case <-ctx.Done():
@@ -840,61 +798,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// The whole job body carries job_id/trace_id/fingerprint pprof labels;
 	// setup and CG add their phase labels underneath (internal/core,
 	// internal/krylov), and the kernel pool workers adopt them per dispatch.
-	var (
-		resp *SolveResponse
-		jerr error
-	)
-	prof.WithJobLabels(ctx, id, tc.TraceID, shortFP(rm.Info.Fingerprint), func(lctx context.Context) {
-		resp, jerr = s.runJob(lctx, id, rm, &req, &ji)
+	var resp *SolveResponse
+	prof.WithJobLabels(ctx, j.id, j.tc.TraceID, fp, func(lctx context.Context) {
+		resp, err = s.runJob(lctx, j)
 	})
-	total := time.Since(enqueued)
-	ji.TotalNS = total.Nanoseconds()
-	ji.FinishedAt = time.Now().UTC().Format(time.RFC3339Nano)
-	s.adm.observe(total.Nanoseconds())
-	s.reg.Histogram("service.job.total_ns", telemetry.ExpBuckets(1e6, 2, 24)).
-		Observe(float64(total.Nanoseconds()))
-	if jerr != nil {
-		ji.State = JobFailed
-		ji.Err = jerr.Error()
-		s.jobs.put(ji)
-		s.reg.Counter(`service.jobs{status="setup-error"}`).Inc()
-		root.SetAttr("outcome", JobFailed)
-		root.End()
-		s.recordTrace(tr, tc, parentSpan, &ji, JobFailed)
-		logw.Error("job failed", "error", jerr.Error())
-		writeJSON(w, http.StatusInternalServerError, ErrorBody{
-			Error: jerr.Error(), JobID: id, TraceID: tc.TraceID})
-		return
-	}
-	resp.TotalNS = total.Nanoseconds()
-	resp.QueueWaitNS = ji.QueueWaitNS
-	resp.TraceID = tc.TraceID
-	ji.State = JobDone
-	ji.Cache = resp.Cache
-	ji.Status = resp.Status
-	ji.Iterations = resp.Iterations
-	ji.Converged = resp.Converged
-	ji.RelRes = resp.RelRes
-	ji.SetupNS = resp.SetupNS
-	ji.SolveNS = resp.SolveNS
-	s.jobs.put(ji)
-	s.reg.Counter(fmt.Sprintf("service.jobs{status=%q}", resp.Status)).Inc()
-	if clientDeadline && errors.Is(reqCtx.Err(), context.DeadlineExceeded) {
-		// The client's budget expired mid-flight; the cancellation already
-		// stopped CG (status "cancelled"), this just attributes it.
-		s.reg.Counter("retry.deadline_expired_total").Inc()
-		logw.Warn("client deadline expired in flight", "status", resp.Status)
-	}
-	root.SetAttr("outcome", resp.Status)
-	root.SetAttr("cache", resp.Cache)
-	root.End()
-	s.recordTrace(tr, tc, parentSpan, &ji, resp.Status)
-	logw.Info("job done",
-		"status", resp.Status, "cache", resp.Cache, "iterations", resp.Iterations,
-		"converged", resp.Converged, "queue_wait_ns", resp.QueueWaitNS,
-		"setup_ns", resp.SetupNS, "solve_ns", resp.SolveNS, "total_ns", resp.TotalNS)
-	finalResp = resp
-	writeJSON(w, http.StatusOK, resp)
+	return resp, err
 }
 
 // solveIsWarm reports whether req would skip the allocation-heavy setup
@@ -949,53 +857,41 @@ func (s *Server) replayIdempotent(w http.ResponseWriter, r *http.Request, ent *i
 // Called after root.End(), on every outcome path — rejected and failed jobs
 // leave traces too, so a client holding only an error body's trace id can
 // still see where the request spent its time.
-func (s *Server) recordTrace(tr *telemetry.Tracer, tc trace.Context, parentSpan string, ji *JobInfo, status string) {
-	report := tr.Report()
+func (s *Server) recordTrace(j *job, status string) {
+	report := j.tr.Report()
 	if len(report) == 0 {
 		return
 	}
 	s.traces.Record(&trace.Trace{
-		TraceID:      tc.TraceID,
-		SpanID:       tc.SpanID,
-		ParentSpanID: parentSpan,
-		JobID:        ji.ID,
-		Fingerprint:  ji.Matrix,
-		Name:         ji.Precond,
+		TraceID:      j.tc.TraceID,
+		SpanID:       j.tc.SpanID,
+		ParentSpanID: j.parentSpan,
+		JobID:        j.id,
+		Fingerprint:  j.ji.Matrix,
+		Name:         j.ji.Precond,
 		Status:       status,
 		Root:         report[0],
 	})
 }
 
 // runJob executes one admitted solve job: preconditioner via cache (or the
-// resilience chain), PCG, run report. The returned error means the job
+// resilience chain), PCG, completion. The returned error means the job
 // could not produce a result at all (setup failure); a non-converged solve
 // is a normal response with Converged=false.
-func (s *Server) runJob(ctx context.Context, id string, rm *RegisteredMatrix, req *SolveRequest, ji *JobInfo) (*SolveResponse, error) {
+func (s *Server) runJob(ctx context.Context, j *job) (*SolveResponse, error) {
+	req, rm := j.req, j.rm
+	resp := &SolveResponse{JobID: j.id, Matrix: rm.Info.Fingerprint, Precond: req.Precond}
+	if req.SetupOnly {
+		// Cache-warming primitive (the cluster router's replication path):
+		// build or find the factor, write it through to the store, run no
+		// CG. The watcher is never engaged — a warm-up is not a solve and
+		// must not flip /healthz or the SLO series.
+		return s.runSetupOnly(ctx, j, resp)
+	}
 	a := rm.A
-	b := req.RHS
-	if len(b) == 0 {
-		b = make([]float64, a.Rows)
-		for i := range b {
-			b[i] = 1
-		}
-	}
-	x := make([]float64, a.Rows)
-
-	fo := fsai.Options{
-		Variant:      fsai.VariantFull,
-		Filter:       req.Filter,
-		LineBytes:    req.LineBytes,
-		PatternPower: req.PatternPower,
-		ThresholdTau: req.Tau,
-		MaxRowNNZ:    512,
-		Workers:      s.opt.Workers,
-		// The job's span tracer: FSAI setup phases (base-pattern, extend,
-		// precalc, …) become children of the request's span tree.
-		Tracer: trace.TracerFromContext(ctx),
-		// The job's label context: the setup runs under phase=setup pprof
-		// labels, attributable in /profiles windows.
-		Ctx: ctx,
-	}
+	b := make([]float64, a.Rows)
+	fillRHS(b, req)
+	c := column{x: make([]float64, a.Rows)}
 	ko := krylov.Options{
 		Tol:           req.Tol,
 		MaxIter:       req.MaxIter,
@@ -1004,37 +900,16 @@ func (s *Server) runJob(ctx context.Context, id string, rm *RegisteredMatrix, re
 		Metrics:       s.reg,
 		Ctx:           ctx,
 	}
-	label := rm.Info.Name
-	if label == "" {
-		label = shortFP(rm.Info.Fingerprint)
-	}
-	s.watcher.Begin(fmt.Sprintf("%s/%s", label, req.Precond), req.Tol, req.MaxIter)
+	s.watcher.Begin(fmt.Sprintf("%s/%s", rm.label(), req.Precond), req.Tol, req.MaxIter)
 	ko.Progress = s.watcher.Progress
 	ko.ProgressDetail = s.watcher.ProgressDetail
-
-	resp := &SolveResponse{JobID: id, Matrix: rm.Info.Fingerprint, Precond: req.Precond}
-	var (
-		res     krylov.Result
-		g       *fsai.Preconditioner
-		rout    *resilience.Outcome
-		setupNS int64
-		solveNS int64
-	)
-
-	if req.SetupOnly {
-		// Cache-warming primitive (the cluster router's replication path):
-		// build or find the factor, write it through to the store, run no
-		// CG. The watcher is never engaged — a warm-up is not a solve and
-		// must not flip /healthz or the SLO series.
-		return s.runSetupOnly(ctx, id, rm, req, resp, fo, ji)
-	}
 
 	switch {
 	case req.Resilient:
 		resp.Cache = CacheBypass
-		out, rerr := resilience.Solve(ctx, a, x, b, resilience.Options{
+		out, rerr := resilience.Solve(ctx, a, c.x, b, resilience.Options{
 			Precond: req.Precond,
-			Setup:   fo,
+			Setup:   s.setupOptions(ctx, req),
 			Solve:   ko,
 			Metrics: s.reg,
 		})
@@ -1047,19 +922,19 @@ func (s *Server) runJob(ctx context.Context, id string, rm *RegisteredMatrix, re
 			s.watcher.End(out.Result)
 			return nil, fmt.Errorf("resilient solve: %v", rerr)
 		}
-		res, g, rout = out.Result, out.FSAI, out
+		c.res, c.g, c.rout = out.Result, out.FSAI, out
 		resp.Precond = out.Precond
 		for _, at := range out.Log.Attempts {
 			if at.Stage == "setup" {
-				setupNS += at.NS
+				c.setupNS += at.NS
 			} else {
-				solveNS += at.NS
+				c.solveNS += at.NS
 			}
 		}
-		if out.Recovered && res.Converged {
+		if out.Recovered && c.res.Converged {
 			s.obsSrv.SetHealth(obs.HealthDegraded, fmt.Sprintf(
 				"job %s recovered on %q after %d retries and %d fallbacks",
-				id, out.Precond, out.Log.Retries, out.Log.Fallbacks))
+				j.id, out.Precond, out.Log.Retries, out.Log.Fallbacks))
 		}
 
 	case req.Precond == "none" || req.Precond == "jacobi":
@@ -1069,134 +944,60 @@ func (s *Server) runJob(ctx context.Context, id string, rm *RegisteredMatrix, re
 		if req.Precond == "jacobi" {
 			m = krylov.NewJacobi(a)
 		}
-		setupNS = time.Since(t0).Nanoseconds()
+		c.setupNS = time.Since(t0).Nanoseconds()
 		t0 = time.Now()
-		res = krylov.Solve(a, x, b, m, ko)
-		solveNS = time.Since(t0).Nanoseconds()
+		c.res = krylov.Solve(a, c.x, b, m, ko)
+		c.solveNS = time.Since(t0).Nanoseconds()
 
 	default: // cacheable FSAI family
-		key := PrecondKey(rm.Info.Fingerprint, req)
+		// The build runs on this job's goroutine, so the setup spans nest
+		// under this job's precond-cache span; coalesced waiters get the
+		// factor without foreign spans.
 		cacheSpan := trace.StartSpan(ctx, "precond-cache")
-		entry, hit, err := s.cache.GetOrBuild(ctx, key, func() (*CachedPrecond, error) {
-			// The build runs on this job's goroutine, so the setup spans
-			// (via fo.Tracer) nest under this job's precond-cache span;
-			// coalesced waiters get the factor without foreign spans.
-			t0 := time.Now()
-			p, err := buildFSAIFamily(req.Precond, a, fo)
-			if err != nil {
-				return nil, err
-			}
-			return &CachedPrecond{P: p, SetupNS: time.Since(t0).Nanoseconds()}, nil
-		})
+		entry, hit, err := s.factor(ctx, j.log, rm, req)
 		if err != nil {
 			cacheSpan.SetAttr("cache", "error")
 			cacheSpan.End()
 			s.watcher.End(krylov.Result{})
 			return nil, fmt.Errorf("preconditioner: %v", err)
 		}
-		if hit {
-			resp.Cache = CacheHit
-			setupNS = 0 // the whole point: warm solves pay no setup
-		} else {
+		resp.Cache = CacheHit // the whole point: warm solves pay no setup
+		if !hit {
 			resp.Cache = CacheMiss
-			setupNS = entry.SetupNS
-			if s.store != nil {
-				// Durability write-through: the factor this job just paid for
-				// survives a crash. Best-effort — a store failure costs the
-				// next restart a recomputation, never this response.
-				if serr := s.store.PutFactor(key, rm.Info.Fingerprint, entry.P, entry.SetupNS); serr != nil {
-					s.log.Warn("store factor write failed",
-						"job_id", id, "matrix", shortFP(rm.Info.Fingerprint), "error", serr.Error())
-				}
-			}
-			// A concurrent DELETE may have unregistered the matrix while this
-			// job was building. Unregistering starts with the registry
-			// removal, so if the matrix is still registered here, any delete
-			// in flight will sweep our cache/store writes itself; if it is
-			// gone, the delete may already have swept — redo the sweep so
-			// nothing survives an unregister.
-			if _, ok := s.matrices.Get(rm.Info.Fingerprint); !ok {
-				s.cache.EvictMatrix(rm.Info.Fingerprint)
-				if s.store != nil {
-					_ = s.store.DeleteMatrix(rm.Info.Fingerprint)
-				}
-			}
+			c.setupNS = entry.SetupNS
 		}
 		cacheSpan.SetAttr("cache", resp.Cache)
 		cacheSpan.End()
-		g = entry.P
+		c.entry, c.g = entry, entry.P
 		m := entry.P.CloneForApply(s.opt.Workers)
 		t0 := time.Now()
-		res = krylov.Solve(a, x, b, m, ko)
-		solveNS = time.Since(t0).Nanoseconds()
-
-		// Iteration-count anomaly detection: the first converged solve on
-		// this factor defines the fingerprint's baseline; warm solves that
-		// drift far above it get flagged — the cache still "works" (hit,
-		// zero setup) but no longer preconditions like it used to.
-		if hit && res.Converged {
-			if base := entry.BaselineIters(); IterationAnomaly(base, res.Iterations) {
-				resp.IterAnomaly = true
-				s.log.Warn("iteration-count anomaly on warm solve",
-					"job_id", id, "matrix", shortFP(rm.Info.Fingerprint),
-					"baseline_iters", base, "iterations", res.Iterations)
-			}
-		}
-		if res.Converged {
-			entry.SetBaselineIters(res.Iterations)
-		}
+		c.res = krylov.Solve(a, c.x, b, m, ko)
+		c.solveNS = time.Since(t0).Nanoseconds()
 	}
-	s.watcher.End(res)
+	s.watcher.End(c.res)
 
 	// Live roofline placement: price the solve's kernel classes against the
 	// machine model and fold the SpMV bandwidth into the matrix's rolling
 	// baseline. The same numbers go to the roofline_* gauges, the response
 	// and the run report, so all three agree for this job id.
-	var rsol *obs.RooflineSolve
-	if t := res.Timing; res.Iterations > 0 && t != (krylov.Timing{}) {
+	if t := c.res.Timing; c.res.Iterations > 0 && t != (krylov.Timing{}) {
 		var gm *sparse.CSR
-		if g != nil {
-			gm = g.G
+		if c.g != nil {
+			gm = c.g.G
 		}
-		est := roofline.SolveEstimate(a, gm, res.Iterations,
+		est := roofline.SolveEstimate(a, gm, c.res.Iterations,
 			t.SpMV.Nanoseconds(), t.Precond.Nanoseconds(), t.BLAS1.Nanoseconds(),
 			s.roofline.Machine())
 		if len(est) > 0 {
-			rs := s.roofline.Observe(id, rm.Info.Fingerprint, res.Iterations, est)
-			rsol = &rs
-			resp.LowBandwidth = rs.LowBandwidth
+			rs := s.roofline.Observe(j.id, rm.Info.Fingerprint, c.res.Iterations, est)
+			c.rsol = &rs
 			if rs.LowBandwidth {
-				s.log.Warn("solve bandwidth >30% below matrix baseline",
-					"job_id", id, "matrix", shortFP(rm.Info.Fingerprint),
-					"baseline_bw", rs.BaselineBandwidthBytes)
+				j.log.Warn("solve bandwidth >30% below matrix baseline",
+					"matrix", shortFP(rm.Info.Fingerprint), "baseline_bw", rs.BaselineBandwidthBytes)
 			}
 		}
 	}
-
-	resp.Iterations = res.Iterations
-	resp.Converged = res.Converged
-	resp.Status = res.Status.String()
-	resp.RelRes = res.RelResidual
-	resp.SetupNS = setupNS
-	resp.SolveNS = solveNS
-	if tcc, ok := trace.FromContext(ctx); ok {
-		resp.TraceID = tcc.TraceID
-	}
-	if req.ReturnSolution {
-		resp.X = x
-	}
-
-	// SLO accounting happens before the report is written so the report's
-	// slo section reflects a window that includes this very solve.
-	warm := resp.Cache == CacheHit
-	s.slo.ObserveSolve(rm.Info.Fingerprint, warm, setupNS+solveNS, ji.QueueWaitNS)
-	if resp.IterAnomaly {
-		s.slo.RecordIterationAnomaly(rm.Info.Fingerprint)
-	}
-
-	if s.opt.RunsDir != "" {
-		resp.Report = s.writeJobReport(id, rm, req, resp, g, rout, res, ji, rsol)
-	}
+	s.complete(j, resp, c)
 	return resp, nil
 }
 
@@ -1204,52 +1005,26 @@ func (s *Server) runJob(ctx context.Context, id string, rm *RegisteredMatrix, re
 // cache (and the store) and the response reports the cache outcome, but no
 // CG runs. A warm fleet replica answers these in microseconds — the router
 // calls it repeatedly without occupying shard solve capacity for long.
-func (s *Server) runSetupOnly(ctx context.Context, id string, rm *RegisteredMatrix, req *SolveRequest, resp *SolveResponse, fo fsai.Options, ji *JobInfo) (*SolveResponse, error) {
-	key := PrecondKey(rm.Info.Fingerprint, req)
+func (s *Server) runSetupOnly(ctx context.Context, j *job, resp *SolveResponse) (*SolveResponse, error) {
 	cacheSpan := trace.StartSpan(ctx, "precond-cache")
-	entry, hit, err := s.cache.GetOrBuild(ctx, key, func() (*CachedPrecond, error) {
-		t0 := time.Now()
-		p, err := buildFSAIFamily(req.Precond, rm.A, fo)
-		if err != nil {
-			return nil, err
-		}
-		return &CachedPrecond{P: p, SetupNS: time.Since(t0).Nanoseconds()}, nil
-	})
+	entry, hit, err := s.factor(ctx, j.log, j.rm, j.req)
 	if err != nil {
 		cacheSpan.SetAttr("cache", "error")
 		cacheSpan.End()
 		return nil, fmt.Errorf("preconditioner: %v", err)
 	}
-	if hit {
-		resp.Cache = CacheHit
-	} else {
+	resp.Cache = CacheHit
+	if !hit {
 		resp.Cache = CacheMiss
 		resp.SetupNS = entry.SetupNS
-		if s.store != nil {
-			if serr := s.store.PutFactor(key, rm.Info.Fingerprint, entry.P, entry.SetupNS); serr != nil {
-				s.log.Warn("store factor write failed",
-					"job_id", id, "matrix", shortFP(rm.Info.Fingerprint), "error", serr.Error())
-			}
-		}
-		// Same delete-race sweep as the solving path: if a concurrent
-		// unregister removed the matrix while we built, nothing of ours may
-		// survive it.
-		if _, ok := s.matrices.Get(rm.Info.Fingerprint); !ok {
-			s.cache.EvictMatrix(rm.Info.Fingerprint)
-			if s.store != nil {
-				_ = s.store.DeleteMatrix(rm.Info.Fingerprint)
-			}
-		}
 	}
 	cacheSpan.SetAttr("cache", resp.Cache)
 	cacheSpan.SetAttr("setup_only", "1")
 	cacheSpan.End()
 	resp.Status = StatusSetupOnly
-	if tcc, ok := trace.FromContext(ctx); ok {
-		resp.TraceID = tcc.TraceID
-	}
+	resp.TraceID = j.tc.TraceID
 	if s.opt.RunsDir != "" {
-		resp.Report = s.writeJobReport(id, rm, req, resp, entry.P, nil, krylov.Result{}, ji, nil)
+		resp.Report = s.writeJobReport(j, resp, entry.P, nil, krylov.Result{}, nil)
 	}
 	return resp, nil
 }
@@ -1281,13 +1056,10 @@ func buildFSAIFamily(name string, a *sparse.CSR, fo fsai.Options) (*fsai.Precond
 // writeJobReport emits the job's run report into RunsDir, returning the
 // file name ("" on write failure — reports are best-effort; the job result
 // already went to the client).
-func (s *Server) writeJobReport(id string, rm *RegisteredMatrix, req *SolveRequest, resp *SolveResponse, g *fsai.Preconditioner, rout *resilience.Outcome, res krylov.Result, ji *JobInfo, rsol *obs.RooflineSolve) string {
-	label := rm.Info.Name
-	if label == "" {
-		label = shortFP(rm.Info.Fingerprint)
-	}
+func (s *Server) writeJobReport(j *job, resp *SolveResponse, g *fsai.Preconditioner, rout *resilience.Outcome, res krylov.Result, rsol *obs.RooflineSolve) string {
+	id, rm, req := j.id, j.rm, j.req
 	entry := experiments.RunEntry{
-		Matrix:      label,
+		Matrix:      rm.label(),
 		Rows:        rm.Info.Rows,
 		NNZ:         rm.Info.NNZ,
 		Variant:     resp.Precond,
@@ -1302,7 +1074,7 @@ func (s *Server) writeJobReport(id string, rm *RegisteredMatrix, req *SolveReque
 			TraceID:     resp.TraceID,
 			Fingerprint: rm.Info.Fingerprint,
 			Cache:       resp.Cache,
-			QueueWaitNS: ji.QueueWaitNS,
+			QueueWaitNS: j.ji.QueueWaitNS,
 		},
 	}
 	// The slo section snapshots the fingerprint's solve-latency series

@@ -25,3 +25,7 @@ fi
 
 go test ./...
 go test -race ./...
+
+# perfbench is its own module (it builds against the solver's exported
+# API), so the root build never compiles it.
+(cd perfbench && go vet ./... && go test ./...)
